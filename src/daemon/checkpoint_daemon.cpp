@@ -67,6 +67,15 @@ bool CheckpointDaemon::start() {
   return true;
 }
 
+bool CheckpointDaemon::seed_baseline(
+    std::vector<index::DbSnapshot::ShardDigest> sealed) {
+  std::lock_guard lock(mutex_);
+  if (thread_.joinable()) return false;
+  last_digests_ = std::move(sealed);
+  have_last_ = true;
+  return true;
+}
+
 bool CheckpointDaemon::finish_and_stop() {
   return stop_impl(/*final_checkpoint=*/true);
 }

@@ -9,7 +9,12 @@
 // content identity (cached SHA-256 per shard, see DbSnapshot), not a
 // heuristic — a skipped cycle is *proof* the newest manifest already
 // equals the live database, which is why the final shutdown checkpoint
-// may also skip without weakening the clean-drain guarantee.
+// may also skip without weakening the clean-drain guarantee. Before the
+// thread starts, the lifecycle seeds the comparison with the content the
+// store already recovers to (seed_baseline): the newest manifest it just
+// restored intact, or nothing for an empty store. So neither an unchanged
+// restart nor an idle fresh daemon seals a manifest that duplicates what
+// recovery already yields.
 //
 // Shutdown has two shapes, mirroring IngestService: finish_and_stop()
 // runs one final cycle after ingest has drained (so the newest manifest
@@ -92,10 +97,19 @@ class CheckpointDaemon {
   /// Spawns the checkpoint thread. False if already started.
   bool start();
 
+  /// Declares `sealed` — the shard digests of what the store recovers to
+  /// right now — as the last checkpointed content, so a cycle skips
+  /// while the live database still matches it. Pass the digests of a
+  /// database restored intact from the newest manifest, or none for an
+  /// empty store; anything else breaks the proof a skip stands for.
+  /// Call before start(); false (and no effect) once started.
+  bool seed_baseline(std::vector<index::DbSnapshot::ShardDigest> sealed);
+
   /// Graceful shutdown: waits out any in-flight cycle, runs one final
   /// cycle (which may skip — see header comment), joins. True: the final
-  /// checkpoint sealed (or provably skipped) and the newest manifest is
-  /// content-identical to the live database as of the call. False: every
+  /// checkpoint sealed (or provably skipped) and recovering the store
+  /// yields content identical to the live database as of the call (for a
+  /// store that was and stays empty: no manifest at all). False: every
   /// final_attempts attempt failed — the thread is still joined and the
   /// store still holds its last good checkpoint, but data ingested since
   /// is not sealed; last_error() says why. Idempotent (a repeat call
@@ -157,7 +171,8 @@ class CheckpointDaemon {
   obs::Gauge* consecutive_g_ = nullptr;  ///< viewmap_daemon_checkpoint_consecutive_failures
 
   /// Digests of the snapshot behind the last checkpoint this daemon
-  /// wrote (or skipped against). Thread-private: only run() touches it.
+  /// wrote (or skipped against), or seeded by seed_baseline() before the
+  /// thread starts. Thread-private once started: only run() touches it.
   std::vector<index::DbSnapshot::ShardDigest> last_digests_;
   bool have_last_ = false;
 

@@ -89,8 +89,18 @@ bool ServiceLifecycle::start() {
     } else if (store_->latest_sequence() != 0) {
       recovery_ = service_.restore_from(*store_);
       recovered_ = true;
+      // Landed on the newest manifest with every profile intact: the
+      // live database IS that manifest, so resealing it unchanged would
+      // only spend a keep_manifests slot on a duplicate. A fallback or
+      // a point-in-time restore still seals on the first cycle.
+      if (recovery_.manifests_tried == 1 && recovery_.profiles_rejected == 0)
+        checkpointer_->seed_baseline(
+            service_.database().snapshot().shard_digests());
+    } else {
+      // Empty store: it recovers to an empty database, so the first
+      // checkpoint to seal is the first one with content.
+      checkpointer_->seed_baseline({});
     }
-    // Empty store: nothing to recover, first checkpoint will seed it.
   }
 
   ingest_->start();

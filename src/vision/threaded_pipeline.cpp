@@ -25,7 +25,7 @@ void ThreadedBlurPipeline::submit(const Frame& camera_frame) {
 
 std::size_t ThreadedBlurPipeline::drain() {
   std::unique_lock lock(mutex_);
-  cv_done_.wait(lock, [this] { return queue_.empty(); });
+  cv_done_.wait(lock, [this] { return queue_.empty() && in_flight_ == 0; });
   return processed_;
 }
 
@@ -38,11 +38,13 @@ void ThreadedBlurPipeline::worker_loop() {
       if (queue_.empty()) return;  // stop requested and nothing pending
       frame = std::move(queue_.front());
       queue_.pop();
+      ++in_flight_;
     }
     for (const auto& region : localizer_.locate(frame)) blur_region(frame, region);
     // Write I/O would go here; the blurred frame is dropped (sink).
     {
       std::lock_guard lock(mutex_);
+      --in_flight_;
       ++processed_;
     }
     cv_done_.notify_all();

@@ -128,6 +128,18 @@ void await_checkpoints(ServiceLifecycle& d, std::uint64_t n) {
   }
 }
 
+/// Polls until the daemon's checkpointer has skipped at least `n`
+/// unchanged cycles this instance (poking it along), or fails the test.
+void await_skips(ServiceLifecycle& d, std::uint64_t n) {
+  const auto deadline = std::chrono::steady_clock::now() + 10s;
+  while (d.checkpointer()->skipped() < n) {
+    ASSERT_LT(std::chrono::steady_clock::now(), deadline)
+        << "checkpointer skipped " << d.checkpointer()->skipped() << "/" << n;
+    d.checkpointer()->poke();
+    std::this_thread::sleep_for(1ms);
+  }
+}
+
 /// One-shot HTTP GET against 127.0.0.1:port; returns the raw response.
 std::string http_get(std::uint16_t port, const std::string& path) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
@@ -213,6 +225,59 @@ TEST(DaemonSoak, KillAndRecoverCycles) {
   // cannot have accumulated all 22 × 41 profiles.
   EXPECT_LT(db.size(), 22u * 41u);
   EXPECT_GT(db.size(), 0u);
+}
+
+TEST(DaemonSoak, UnchangedRestartSealsNoNewManifest) {
+  // A restart that recovers the newest manifest and ingests nothing must
+  // skip every cycle: the live database is that manifest already, so a
+  // reseal would only duplicate it (and race the recovery invariant the
+  // soak above asserts).
+  TempDir dir("unchanged");
+  Rng rng(13);
+  auto cfg = test_config(dir.str());
+  {
+    auto seal_once = cfg;
+    seal_once.checkpoint.interval = 1h;  // only the drain checkpoint writes
+    ServiceLifecycle d(seal_once);
+    ASSERT_TRUE(d.start());
+    ASSERT_TRUE(d.service().register_trusted(
+        attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
+    EXPECT_EQ(feed(d, 0, 10, rng), 10u);
+    ASSERT_TRUE(d.stop());
+  }
+  ASSERT_EQ(store::SegmentStore(dir.str()).manifest_sequences().size(), 1u);
+
+  ServiceLifecycle d(cfg);
+  ASSERT_TRUE(d.start());
+  ASSERT_TRUE(d.recovered());
+  await_skips(d, 3);
+  EXPECT_EQ(d.checkpointer()->written(), 0u);
+  EXPECT_GT(d.checkpointer()->skipped(), 0u);
+  EXPECT_EQ(d.store()->latest_sequence(), d.recovery().sequence);
+  d.kill_for_test();
+}
+
+TEST(DaemonSoak, IdleFreshStoreSealsNothing) {
+  // An empty store already recovers to the empty database a fresh daemon
+  // starts with, so the first manifest sealed must be one with content —
+  // an empty seal would satisfy a "wait for a checkpoint" before any data
+  // is durable.
+  TempDir dir("fresh");
+  ServiceLifecycle d(test_config(dir.str()));
+  ASSERT_TRUE(d.start());
+  EXPECT_FALSE(d.recovered());
+  await_skips(d, 3);
+  EXPECT_EQ(d.checkpointer()->written(), 0u);
+  EXPECT_EQ(d.store()->latest_sequence(), 0u);
+
+  Rng rng(15);
+  ASSERT_TRUE(d.service().register_trusted(
+      attack::make_fake_profile(0, {0, 0}, {800, 0}, rng)));
+  await_checkpoints(d, 1);
+  store::RecoveryStats stats;
+  (void)store::SegmentStore(dir.str()).recover(&stats);
+  EXPECT_GE(stats.profiles_loaded, 1u);
+  d.kill_for_test();
 }
 
 TEST(DaemonSoak, CleanDrainIsBitForBit) {

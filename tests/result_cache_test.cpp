@@ -7,6 +7,7 @@
 
 #include <atomic>
 #include <bit>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <unordered_set>
@@ -293,13 +294,14 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
 
   std::atomic<bool> stop{false};
   std::atomic<std::size_t> served{0};
+  std::atomic<std::size_t> attempts{0};  // served or tolerated-stale investigations
   const geo::Rect site{{0, -50}, {800, 50}};
 
   // Two investigators hammer a rotating key set — hits, misses, inserts,
   // and ARC evictions all race each other...
   std::vector<std::thread> readers;
   for (int r = 0; r < 2; ++r)
-    readers.emplace_back([&service, &stop, &served, &site, r] {
+    readers.emplace_back([&service, &stop, &served, &attempts, &site, r] {
       for (int i = 0; !stop.load(std::memory_order_relaxed); ++i) {
         const TimeSec t = ((i + r) % kMinutes) * kUnitTimeSec;
         try {
@@ -308,14 +310,27 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
         } catch (const std::runtime_error&) {
           // minute evicted mid-run: acceptable, the key just went stale
         }
+        attempts.fetch_add(1);
       }
     });
 
   // ...while the single control thread keeps ingesting into the same
   // minutes (shard change-keys churn ⇒ cache keys go stale) and advances the
-  // retention clock (shards evict under the readers).
+  // retention clock (shards evict under the readers). Step k waits until
+  // the readers have finished k+1 investigations, so the race holds on any
+  // scheduler: without the gate the control thread can run all 40 steps —
+  // and evict every minute — before either reader completes one.
+  const auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(60);
+  const auto await_attempts = [&](std::size_t n) {
+    while (attempts.load() < n && std::chrono::steady_clock::now() < deadline)
+      std::this_thread::yield();
+    return attempts.load() >= n;
+  };
   Rng rng(43);
+  bool readers_progressed = true;
   for (int k = 0; k < 40; ++k) {
+    readers_progressed = await_attempts(static_cast<std::size_t>(k) + 1);
+    if (!readers_progressed) break;
     const TimeSec minute = static_cast<TimeSec>(rng.index(kMinutes)) * kUnitTimeSec;
     for (int i = 0; i < 2; ++i) {
       const double x = rng.uniform(0.0, 500.0);
@@ -327,6 +342,7 @@ TEST(ResultCacheConcurrent, HitsRaceLiveIngestAndEviction) {
   }
   stop.store(true);
   for (auto& t : readers) t.join();
+  ASSERT_TRUE(readers_progressed) << "readers stalled: " << attempts.load() << " attempts";
 
   EXPECT_GT(served.load(), 0u);
   const auto s = service.result_cache().stats();
